@@ -93,19 +93,10 @@ fn main() {
     }
 
     progress(&format!(
-        "repro: {} worker(s), seed {}{}{}{}{}{}{}",
+        "repro: {} worker(s), seed {}{}{}{}{}{}",
         cli.opts.jobs,
         cli.opts.root_seed,
-        match cli.opts.slice_workers {
-            None => String::new(),
-            Some(0) => ", serial oracle".to_owned(),
-            Some(n) => format!(", {n} slice worker(s)"),
-        },
-        match cli.opts.gen_workers {
-            None => String::new(),
-            Some(0) => ", serial front end".to_owned(),
-            Some(n) => format!(", {n} gen worker(s)"),
-        },
+        if cli.opts.slice_workers == Some(0) { ", serial oracle" } else { "" },
         cli.corpus
             .map_or(String::new(), |n| format!(", corpus of {n}")),
         if cli.opts.sampled { ", sampled" } else { "" },

@@ -4,7 +4,8 @@
 //! The corpus rides on the runner's byte-identity contract: every
 //! random choice derives from `(root seed, job name, tag)`, so the same
 //! `--corpus` seed must yield a byte-identical scenario list and
-//! summary for any `--jobs` count and any `--slice-workers` policy.
+//! summary for any `--jobs` count, on the serial oracle and the batched
+//! LLC pipeline alike.
 //! The registry migration must keep regenerating the committed captures
 //! byte-for-byte — the cheap deterministic groups are pinned here, the
 //! full set in the `#[ignore]`d sweep (CI runs `repro --check`).
@@ -50,7 +51,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Same corpus seed ⇒ byte-identical scenario list and summary
-    /// across `--jobs {1,4}` × `--slice-workers {0, auto}`.
+    /// across `--jobs {1,4}` × LLC pipeline {serial oracle, batched}.
     #[test]
     fn corpus_is_byte_identical_across_engine_settings(seed in 0u64..1000) {
         let baseline = run_corpus(seed, 1, Some(0));

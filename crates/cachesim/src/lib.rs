@@ -21,8 +21,8 @@
 //!
 //! The crate is deterministic and purely computational: no I/O, no clocks.
 //! Accesses can be issued one at a time or enqueued in *batches* that are
-//! bucketed by LLC slice and resolved together — optionally on a few worker
-//! threads ([`config`]) — with results bit-identical to serial execution
+//! bucketed by LLC slice and resolved together ([`config`]) — with
+//! results bit-identical to serial execution
 //! (slices are independent and per-slice order is preserved). Higher layers
 //! (`iat-perf`, `iat-platform`) wrap it with performance-counter semantics
 //! and time.

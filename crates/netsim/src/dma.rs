@@ -105,61 +105,6 @@ impl DmaEngine {
         accepted
     }
 
-    /// Plan-building variant of [`DmaEngine::rx_batch`] for the sharded
-    /// front end: performs the same ring claims, drop decisions and
-    /// counter updates — all of which depend only on ring occupancy,
-    /// never on cache outcomes — but appends the DDIO line addresses to
-    /// `writes` (descriptor first, then payload lines, per packet)
-    /// instead of touching the hierarchy. The merge thread replays the
-    /// plan through `batch_io_write` in this exact order, so the cache
-    /// sees the identical access stream.
-    pub fn rx_batch_plan(
-        &mut self,
-        ring: &mut RxRing,
-        batch: &PacketBatch,
-        writes: &mut Vec<u64>,
-    ) -> usize {
-        let mut accepted = 0;
-        for &flow in &batch.flows {
-            let slot = PacketSlot::new(flow, batch.size);
-            let Some(idx) = ring.push(slot) else {
-                self.rx_dropped += 1;
-                continue;
-            };
-            writes.push(ring.desc_addr(idx));
-            self.lines_written += 1;
-            let base = ring.buf_addr(idx);
-            for l in 0..slot.payload_lines() {
-                writes.push(base + l * LINE_BYTES);
-                self.lines_written += 1;
-            }
-            self.rx_packets += 1;
-            accepted += 1;
-        }
-        accepted
-    }
-
-    /// Plan-building variant of [`DmaEngine::tx_drain`]: pops the ring
-    /// and updates counters exactly as the direct path, appending the
-    /// descriptor/payload line addresses to `reads` for the merge thread
-    /// to replay through `batch_io_read`.
-    pub fn tx_drain_plan(&mut self, ring: &mut TxRing, max: usize, reads: &mut Vec<u64>) -> usize {
-        let mut sent = 0;
-        while sent < max {
-            let Some((idx, slot)) = ring.pop() else { break };
-            reads.push(ring.desc_addr(idx));
-            self.lines_read += 1;
-            let base = slot.ext_buf.unwrap_or_else(|| ring.buf_addr(idx));
-            for l in 0..slot.payload_lines() {
-                reads.push(base + l * LINE_BYTES);
-                self.lines_read += 1;
-            }
-            self.tx_packets += 1;
-            sent += 1;
-        }
-        sent
-    }
-
     /// Device side of transmit: drains up to `max` packets from `ring`,
     /// reading each descriptor and payload line (no allocation).
     /// Returns the number of packets sent.

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod gen;
 mod platform;
 mod recorder;
 mod sampler;

@@ -545,42 +545,6 @@ impl Platform {
         let chunks = self.config.chunks.max(1) as u64;
         let dt = self.config.scaled_epoch_ns() / chunks;
         let budget = self.config.cycle_budget() / chunks;
-
-        // Tenant-parallel front end: with generation workers granted,
-        // shard the per-tenant generation onto a worker pool and merge
-        // the resulting plans/windows here in canonical order —
-        // bit-identical to the serial body below by construction (see
-        // the `gen` module and DESIGN.md §6.4).
-        let workers = iat_cachesim::config::gen_workers();
-        if workers >= 1 && !self.tenants.is_empty() {
-            let params = crate::gen::EpochParams {
-                chunks,
-                dt,
-                budget,
-                measured,
-                ddio: self.rdt.ddio_mask(),
-            };
-            let masks: Vec<_> =
-                self.tenants.iter().map(|t| self.rdt.clos_mask(t.clos)).collect();
-            let (delivered, dropped) = crate::gen::exec_epoch_sharded(
-                workers,
-                params,
-                &mut self.hierarchy,
-                &mut self.bank,
-                &mut self.channels,
-                &mut self.tenants,
-                &masks,
-            );
-            if measured {
-                self.time_ns += self.config.epoch_ns;
-            }
-            return EpochReport {
-                time_ns: self.time_ns,
-                packets_delivered: delivered,
-                packets_dropped: dropped,
-            };
-        }
-
         let mut delivered = 0u64;
         let mut dropped = 0u64;
 
@@ -614,7 +578,7 @@ impl Platform {
                 let mask = self.rdt.clos_mask(t.clos);
                 for &core in &t.cores {
                     let mut ctx = ExecCtx {
-                        cache: (&mut self.hierarchy).into(),
+                        cache: &mut self.hierarchy,
                         channels: &mut self.channels,
                         core,
                         agent: t.agent,
@@ -885,12 +849,34 @@ mod tests {
         let before = tracer.len();
         let mut p = Platform::new(PlatformConfig::tiny());
         p.add_tenant(xmem_tenant(0, 0, 1));
+        // Line-rate 1500 B traffic: each chunk's DMA burst flushes far
+        // more than FLUSH_TIMING_MIN_OPS lines, so the LLC lane shows.
+        let mut nic = Nic::new(0x4000_0000, 1, 256, 2048);
+        let pmd = TestPmd::new(nic.vf_mut(VfId(0)).clone());
+        let gen = TrafficGen::new(
+            100_000_000_000,
+            1500,
+            FlowDist::Single(FlowId(0)),
+            TrafficPattern::Constant,
+            42,
+        );
+        p.add_tenant(Tenant {
+            id: TenantId(1),
+            name: "pmd".into(),
+            agent: AgentId::new(1),
+            cores: vec![1],
+            clos: ClosId::new(1),
+            workload: Box::new(pmd),
+            bindings: vec![crate::TrafficBinding { port: 0, gen }],
+        });
         p.run_epochs(5);
         drop(p); // flushes the open segment
         assert!(tracer.len() > before, "epoch segments must be recorded");
         let trace = tracer.export_chrome_trace().expect("enabled tracer exports");
         assert!(trace.contains("epoch.measure"), "measure segment span missing:\n{trace}");
         assert!(trace.contains("vt_end_ns"), "segment spans must carry virtual time");
+        assert!(trace.contains("\"llc.flush\""), "llc.flush span missing:\n{trace}");
+        assert!(trace.contains("\"ops\""), "llc.flush spans must carry their op count");
     }
 
     #[test]

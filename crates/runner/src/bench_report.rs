@@ -36,11 +36,13 @@ use serde_json::{json, Value};
 /// fast-forward) and `restore` (convergence-checkpoint restores) for a
 /// seven-key breakdown.
 ///
-/// v6: the `gen_workers` front-end policy the sweep ran under is
-/// recorded (null = auto), and every figure carries a `job_wall_s`
-/// object mapping each of its job names to that job's wall seconds —
-/// the per-job scheduling hint that keeps split sweeps (per-point
-/// leaves vs. cheap merge jobs) ordered longest-first.
+/// v6: every figure carries a `job_wall_s` object mapping each of its
+/// job names to that job's wall seconds — the per-job scheduling hint
+/// that keeps split sweeps (per-point leaves vs. cheap merge jobs)
+/// ordered longest-first. Early v6 reports also recorded a
+/// `gen_workers` front-end policy; that layer is gone, new reports omit
+/// the field, and validation still accepts it (null or an integer) so
+/// those reports stay valid.
 pub const BENCH_SCHEMA: &str = "iat-bench-repro/v6";
 
 /// Schema tag for one `BENCH_history.jsonl` line (see [`history_record`]).
@@ -148,7 +150,6 @@ pub fn bench_report(out: &RunOutput, opts: &RunOptions, profile: &str) -> Value 
         "sampled": opts.sampled,
         "jobs": opts.jobs,
         "slice_workers": opts.slice_workers,
-        "gen_workers": opts.gen_workers,
         "root_seed": opts.root_seed,
         "wall_s": out.wall.as_secs_f64(),
         "aggregate_job_cost_s": busy,
@@ -242,7 +243,6 @@ pub fn history_record(report: &Value) -> Value {
         "mode": if report["sampled"] == json!(true) { "sampled" } else { "exact" },
         "jobs": report["jobs"],
         "slice_workers": report["slice_workers"],
-        "gen_workers": report["gen_workers"],
         "root_seed": report["root_seed"],
         "wall_s": report["wall_s"],
         "aggregate_job_cost_s": report["aggregate_job_cost_s"],
@@ -327,8 +327,8 @@ pub fn validate_history(line: &Value) -> Result<(), String> {
     if !line["slice_workers"].is_null() && line["slice_workers"].as_u64().is_none() {
         return Err("slice_workers must be null or a non-negative integer".into());
     }
-    // `gen_workers` arrived with repro schema v6; tolerate its absence
-    // so pre-existing history files still validate line by line.
+    // `gen_workers` is written only by early repro schema v6 runs;
+    // tolerate it either way so history files validate line by line.
     if !line["gen_workers"].is_null() && line["gen_workers"].as_u64().is_none() {
         return Err("gen_workers must be null or a non-negative integer".into());
     }
@@ -497,10 +497,11 @@ pub fn validate(doc: &Value) -> Result<(), String> {
         }
     }
     if !doc["slice_workers"].is_null() && doc["slice_workers"].as_u64().is_none() {
-        return Err("slice_workers must be null (auto) or a non-negative integer".into());
+        return Err("slice_workers must be null (default) or a non-negative integer".into());
     }
+    // Legacy field of early v6 reports (see [`BENCH_SCHEMA`]).
     if !doc["gen_workers"].is_null() && doc["gen_workers"].as_u64().is_none() {
-        return Err("gen_workers must be null (auto) or a non-negative integer".into());
+        return Err("gen_workers must be null or a non-negative integer".into());
     }
     for key in ["jobs", "root_seed", "accesses", "skipped_epochs"] {
         if doc[key].as_u64().is_none() {
@@ -679,7 +680,7 @@ mod tests {
         assert_eq!(doc["schema"], BENCH_SCHEMA);
         assert_eq!(doc["accesses"], 1077);
         assert_eq!(doc["jobs"], 2);
-        assert!(doc["slice_workers"].is_null(), "auto policy records null");
+        assert!(doc["slice_workers"].is_null(), "default policy records null");
         let figs = doc["figures"].as_array().unwrap();
         assert_eq!(figs.len(), 3);
         assert_eq!(figs[0]["figure"], "figX");
@@ -771,20 +772,22 @@ mod tests {
     }
 
     #[test]
-    fn gen_workers_is_recorded_and_validated() {
+    fn legacy_gen_workers_validates_but_is_not_written() {
         let out = fake_output();
         let opts = RunOptions { gen_workers: Some(2), ..RunOptions::default() };
         let doc = bench_report(&out, &opts, "release");
-        validate(&doc).expect("report with gen_workers must validate");
-        assert_eq!(doc["gen_workers"], 2);
         let line = history_record(&doc);
-        validate_history(&line).expect("history line with gen_workers must validate");
-        assert_eq!(line["gen_workers"], 2);
-        let auto = bench_report(&out, &RunOptions::default(), "release");
-        assert!(auto["gen_workers"].is_null(), "auto policy records null");
-        assert!(validate(&with_field(&doc, "gen_workers", serde_json::json!(-1))).is_err());
+        assert!(doc.get("gen_workers").is_none(), "reports no longer write gen_workers");
+        assert!(line.get("gen_workers").is_none(), "history no longer writes gen_workers");
+        // Early v6 reports (the committed one included) carry the field.
+        let (mut legacy, mut legacy_line) = (doc.clone(), line.clone());
+        legacy["gen_workers"] = serde_json::json!(0);
+        legacy_line["gen_workers"] = serde_json::json!(0);
+        validate(&legacy).expect("legacy report with gen_workers must validate");
+        validate_history(&legacy_line).expect("legacy history line must validate");
+        assert!(validate(&with_field(&legacy, "gen_workers", serde_json::json!(-1))).is_err());
         assert!(
-            validate_history(&with_field(&line, "gen_workers", serde_json::json!("many")))
+            validate_history(&with_field(&legacy_line, "gen_workers", serde_json::json!("many")))
                 .is_err()
         );
     }
@@ -792,13 +795,13 @@ mod tests {
     #[test]
     fn history_record_round_trips() {
         let out = fake_output();
-        let opts = RunOptions { slice_workers: Some(4), ..RunOptions::default() };
+        let opts = RunOptions { slice_workers: Some(0), ..RunOptions::default() };
         let doc = bench_report(&out, &opts, "release");
         let line = history_record(&doc);
         validate_history(&line).expect("self-emitted history line must validate");
         assert_eq!(line["schema"], HISTORY_SCHEMA);
         assert_eq!(line["mode"], "exact");
-        assert_eq!(line["slice_workers"], 4);
+        assert_eq!(line["slice_workers"], 0);
         assert_eq!(line["figures"], 3);
         assert_eq!(line["ok"], false, "figY failed");
         assert!(line["figures"].as_u64().is_some());

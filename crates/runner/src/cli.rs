@@ -46,25 +46,18 @@ pub const USAGE: &str = "\
 repro — regenerate every figure/table capture under results/
 
 USAGE:
-    repro [--jobs N] [--slice-workers N] [--gen-workers N] [--only NAME]...
+    repro [--jobs N] [--slice-workers 0|1] [--only NAME]...
           [--sampled] [--smoke] [--check] [--seed N] [--corpus N]
           [--trace-out PATH] [--list]
 
 OPTIONS:
-    --jobs N     worker threads (default: min(cores, 8)); output is
+    --jobs N     worker threads (default: min(cores, 8)), the only
+                 parallelism: each job runs on one thread; output is
                  byte-identical for every N
-    --slice-workers N
-                 LLC batch pipeline policy: 0 = serial reference oracle,
-                 N >= 1 = batched with N slice workers per flush
-                 (default: auto — sized from the spare core budget);
-                 output is byte-identical for every setting
-    --gen-workers N
-                 tenant-parallel front end: 0 = serial generation (the
-                 oracle), N >= 1 = shard tenants across N generation
-                 workers that pre-build traffic plans and access windows
-                 merged in canonical order (default: auto — sized from
-                 the spare core budget, 0 when --jobs consumes it);
-                 output is byte-identical for every setting
+    --slice-workers 0|1
+                 LLC pipeline: 0 = serial reference oracle (access at a
+                 time), 1 = batched, flushed inline (the default); output
+                 is byte-identical for both
     --only NAME  run one figure group (e.g. fig12) or a single job
                  (e.g. fig12/rocksdb); repeatable
     --sampled    phase-aware interval sampling: jobs that declared
@@ -113,21 +106,16 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
             }
             "--slice-workers" => {
                 let v = it.next().ok_or("--slice-workers needs a value")?;
-                cli.opts.slice_workers = Some(
-                    v.parse::<u32>()
-                        .map_err(|_| format!("bad --slice-workers value {v:?}"))?,
-                );
-            }
-            "--gen-workers" => {
-                let v = it.next().ok_or("--gen-workers needs a value")?;
-                cli.opts.gen_workers = if v == "auto" {
-                    None
-                } else {
-                    Some(
-                        v.parse::<u32>()
-                            .map_err(|_| format!("bad --gen-workers value {v:?}"))?,
-                    )
-                };
+                let n = v
+                    .parse::<u32>()
+                    .map_err(|_| format!("bad --slice-workers value {v:?}"))?;
+                if n > 1 {
+                    return Err(format!(
+                        "--slice-workers {n}: only 0 (serial oracle) or 1 (batched) \
+                         exist; every job runs on one thread, use --jobs for parallelism"
+                    ));
+                }
+                cli.opts.slice_workers = Some(n);
             }
             "--only" => {
                 cli.opts.only.push(it.next().ok_or("--only needs a value")?);
@@ -186,30 +174,20 @@ mod tests {
         );
         assert_eq!(cli.opts.root_seed, 7);
         assert!(cli.check && !cli.opts.smoke && !cli.list);
-        assert_eq!(cli.opts.slice_workers, None, "default is auto");
+        assert_eq!(cli.opts.slice_workers, None, "default is batched");
     }
 
     #[test]
     fn parses_slice_workers() {
         let cli = parse_args(["--slice-workers".to_owned(), "0".to_owned()]).unwrap();
         assert_eq!(cli.opts.slice_workers, Some(0));
-        let cli = parse_args(["--slice-workers".to_owned(), "4".to_owned()]).unwrap();
-        assert_eq!(cli.opts.slice_workers, Some(4));
+        let cli = parse_args(["--slice-workers".to_owned(), "1".to_owned()]).unwrap();
+        assert_eq!(cli.opts.slice_workers, Some(1));
+        let err = parse_args(["--slice-workers".to_owned(), "2".to_owned()]).unwrap_err();
+        assert!(err.contains("--jobs"), "rejection must point to --jobs: {err}");
         assert!(parse_args(["--slice-workers".to_owned(), "-1".to_owned()]).is_err());
         assert!(parse_args(["--slice-workers".to_owned()]).is_err());
-    }
-
-    #[test]
-    fn parses_gen_workers() {
-        let cli = parse_args(["--gen-workers".to_owned(), "0".to_owned()]).unwrap();
-        assert_eq!(cli.opts.gen_workers, Some(0));
-        let cli = parse_args(["--gen-workers".to_owned(), "4".to_owned()]).unwrap();
-        assert_eq!(cli.opts.gen_workers, Some(4));
-        let cli = parse_args(["--gen-workers".to_owned(), "auto".to_owned()]).unwrap();
-        assert_eq!(cli.opts.gen_workers, None);
-        assert_eq!(parse_args(Vec::new()).unwrap().opts.gen_workers, None, "default is auto");
-        assert!(parse_args(["--gen-workers".to_owned(), "-1".to_owned()]).is_err());
-        assert!(parse_args(["--gen-workers".to_owned()]).is_err());
+        assert!(parse_args(["--gen-workers".to_owned(), "0".to_owned()]).is_err());
     }
 
     #[test]

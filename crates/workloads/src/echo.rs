@@ -70,7 +70,7 @@ impl Workload for ChannelEcho {
         let mut instructions = 0u64;
         let accrue = ctx.accrue();
         while used < ctx.cycle_budget {
-            let cache = &mut ctx.cache;
+            let cache = &mut *ctx.cache;
             let channels = &mut *ctx.channels;
             let rx = &mut channels.get_mut(self.rx).ring;
             let Some((idx, slot)) = rx.pop() else {
@@ -82,7 +82,7 @@ impl Workload for ChannelEcho {
             let buf = slot.ext_buf.unwrap_or_else(|| rx.buf_addr(idx));
             let mut cost = PKT_CYCLES;
             // Touch the header, re-post zero-copy.
-            cost += cache.access_cycles(core, agent, mask, buf, CoreOp::Read) as u64;
+            cost += cache.core_access_cycles(core, agent, mask, buf, CoreOp::Read) as u64;
             let tx = &mut channels.get_mut(self.tx).ring;
             let pushed = tx
                 .push(PacketSlot::with_ext_buf(slot.flow, slot.size, buf))
@@ -139,7 +139,7 @@ mod tests {
             .push(PacketSlot::new(FlowId(1), 256))
             .unwrap();
         let mut ctx = ExecCtx {
-            cache: (&mut h).into(),
+            cache: &mut h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),
@@ -167,7 +167,7 @@ mod tests {
                 .unwrap();
         }
         let mut ctx = ExecCtx {
-            cache: (&mut h).into(),
+            cache: &mut h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),

@@ -356,7 +356,7 @@ mod tests {
     fn run<W: Workload>(h: &mut MemoryHierarchy, w: &mut W, budget: u64) -> ExecResult {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
-            cache: h.into(),
+            cache: h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),
@@ -473,14 +473,8 @@ mod tests {
             (fwd.forwarded, fwd.metrics(), results, h.accesses(), h.llc().state_digest())
         }
 
-        let serial = testpmd_trace(Some(0));
-        for w in [Some(1), Some(4), None] {
-            assert_eq!(testpmd_trace(w), serial, "testpmd diverged with workers={w:?}");
-        }
-        let serial = l3fwd_trace(Some(0));
-        for w in [Some(1), Some(4), None] {
-            assert_eq!(l3fwd_trace(w), serial, "l3fwd diverged with workers={w:?}");
-        }
+        assert_eq!(testpmd_trace(None), testpmd_trace(Some(0)), "testpmd diverged");
+        assert_eq!(l3fwd_trace(None), l3fwd_trace(Some(0)), "l3fwd diverged");
         set_slice_workers(None);
     }
 

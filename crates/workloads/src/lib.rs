@@ -30,7 +30,6 @@
 mod ctx;
 mod echo;
 mod fwd;
-pub mod gen;
 mod kvs;
 mod latency;
 mod nfchain;
@@ -43,8 +42,8 @@ mod window;
 mod xmem;
 mod ycsb;
 
-pub use ctx::{CacheBackend, Channel, ChannelId, Channels, ExecCtx, ExecResult, Workload,
-              WorkloadKind, WorkloadMetrics};
+pub use ctx::{Channel, ChannelId, Channels, ExecCtx, ExecResult, Workload, WorkloadKind,
+              WorkloadMetrics};
 pub use echo::ChannelEcho;
 pub use fwd::{L3Fwd, TestPmd};
 pub use kvs::{KvConfig, KvStore};

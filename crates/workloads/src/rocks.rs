@@ -222,7 +222,7 @@ mod tests {
     fn run(h: &mut MemoryHierarchy, r: &mut RocksLike, mask: WayMask, budget: u64) {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
-            cache: h.into(),
+            cache: h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),

@@ -216,7 +216,7 @@ mod tests {
     fn run(h: &mut MemoryHierarchy, w: &mut SpecWorkload, mask: WayMask, budget: u64) -> ExecResult {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
-            cache: h.into(),
+            cache: h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),

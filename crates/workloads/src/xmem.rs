@@ -171,7 +171,7 @@ mod tests {
     fn run_once(h: &mut MemoryHierarchy, xmem: &mut XMem, mask: WayMask, budget: u64) -> ExecResult {
         let mut ch = Channels::new();
         let mut ctx = ExecCtx {
-            cache: h.into(),
+            cache: h,
             channels: &mut ch,
             core: 0,
             agent: AgentId::new(0),

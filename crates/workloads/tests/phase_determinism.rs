@@ -1,16 +1,15 @@
 //! Phase-profiling determinism properties.
 //!
 //! The sampled execution path only reproduces across `--jobs` and
-//! `--slice-workers` settings if the schedule it adapts is a pure
-//! function of the workload's access stream. That rests on two
-//! invariants, each checked here over random streams:
+//! `--slice-workers` (oracle or batched) settings if the schedule it
+//! adapts is a pure function of the workload's access stream. That
+//! rests on two invariants, each checked here over random streams:
 //!
 //! * **Sketch position**: the reuse-distance sketch observes addresses
 //!   at [`iat_workloads::ExecCtx`] *enqueue* order — before the batched
 //!   pipeline buffers, reorders resolution, or flushes — so the drained
 //!   [`Fingerprint`] must be identical whether accesses resolve one at
-//!   a time, in one giant flush, or cut into arbitrary windows across
-//!   any worker count.
+//!   a time, in one giant flush, or cut into arbitrary windows.
 //! * **Profiler purity**: [`PhaseProfiler`] decisions (hints, phase
 //!   ids, boundaries, weights) depend only on the fingerprint sequence,
 //!   never on ambient state — replaying a sequence on a fresh profiler
@@ -32,9 +31,8 @@ fn to_addr(raw: u64) -> u64 {
 proptest! {
     /// The fingerprint a stream drains to is invariant to how the
     /// stream is executed: serial access-at-a-time, or batched with any
-    /// flush-window placement and any slice-worker count. This is the
-    /// same stream-cutting space `slice_parallel_matches_serial`
-    /// explores for cache state, applied to the phase sketch that rides
+    /// flush-window placement. This is the same stream-cutting space
+    /// the cachesim `batched_matches_serial` proptest explores for cache state, applied to the phase sketch that rides
     /// on top of it.
     #[test]
     fn fingerprint_invariant_to_window_flush_placement(
@@ -56,25 +54,21 @@ proptest! {
         }
         let want = sketch.drain(miss_permille);
 
-        for workers in [1u32, 4] {
-            iat_cachesim::config::set_slice_workers(Some(workers));
-            let mut sketch = ReuseSketch::new();
-            let mut llc = Llc::new(geom);
-            for (k, &raw) in raws.iter().enumerate() {
-                let addr = to_addr(raw);
-                // Enqueue-order observation, exactly as ExecCtx does it:
-                // before the access joins the batch.
-                sketch.observe(addr);
-                llc.batch_core_access(agent, mask, addr, CoreOp::Read);
-                if (k + 1) % window == 0 {
-                    llc.batch_flush();
-                }
+        let mut sketch = ReuseSketch::new();
+        let mut llc = Llc::new(geom);
+        for (k, &raw) in raws.iter().enumerate() {
+            let addr = to_addr(raw);
+            // Enqueue-order observation, exactly as ExecCtx does it:
+            // before the access joins the batch.
+            sketch.observe(addr);
+            llc.batch_core_access(agent, mask, addr, CoreOp::Read);
+            if (k + 1) % window == 0 {
+                llc.batch_flush();
             }
-            llc.batch_flush();
-            prop_assert_eq!(sketch.drain(miss_permille), want, "workers={}", workers);
-            prop_assert_eq!(llc.state_digest(), serial.state_digest());
         }
-        iat_cachesim::config::set_slice_workers(None);
+        llc.batch_flush();
+        prop_assert_eq!(sketch.drain(miss_permille), want);
+        prop_assert_eq!(llc.state_digest(), serial.state_digest());
     }
 
     /// A profiler replayed over the same fingerprint sequence makes the
