@@ -13,14 +13,10 @@
 //!   flushed inline in the calling thread; informational, for comparing
 //!   batching overhead against the serial calls above (results are
 //!   bit-identical either way).
-//! * `warmup_window/frozen_1w` — the same batched window with
-//!   statistics frozen but the frozen fast body disabled: the full
-//!   per-access pipeline running against a frozen sink.
-//! * `warmup_window/warm_frozen_fast` — the default frozen-stats
-//!   configuration: the shard dispatches the delta-free fast body, which
-//!   skips outcome recording, occupancy deltas, and stat merging
-//!   entirely. The gap against `frozen_1w` is what the fast body buys
-//!   every warm epoch.
+//! * `warmup_window/frozen` — the same batched window with statistics
+//!   frozen, as the sampled execution path runs its functional-warmup
+//!   epochs: the buckets resolve against the frozen sink, which keeps
+//!   the valid-line count and drops every other statistic event.
 //!
 //! Run with `cargo bench -p iat-bench --bench llc_hotpath`; CI runs
 //! `cargo bench -p iat-bench --bench llc_hotpath -- --test` as a smoke.
@@ -108,33 +104,24 @@ fn bench_hotpath(c: &mut Criterion) {
 
     // The same miss-heavy window with statistics frozen — the
     // functional-warmup configuration the sampled execution path runs
-    // between fast-forward and measured segments. `frozen_1w` pins the
-    // fast body *off* (the pre-fast-path baseline: full per-access
-    // pipeline against a frozen sink); `warm_frozen_fast` is the default
-    // configuration, where the shard runs the delta-free fast body.
-    // Cache state is bit-identical either way (pinned by the
-    // `frozen_fast_body_matches_full_body` proptest); only the work per
-    // access differs.
-    for (name, fast) in [("frozen_1w", false), ("warm_frozen_fast", true)] {
-        group.bench_function(format!("warmup_window/{name}"), |b| {
-            let geom = CacheGeometry::xeon_6140_llc();
-            let mut llc = Llc::new(geom);
-            llc.set_stats_frozen(true);
-            llc.set_frozen_fast(fast);
-            let agent = AgentId::new(0);
-            let mask = WayMask::contiguous(0, 2).expect("mask");
-            let span = geom.total_lines() * 8;
-            let mut i = 0u64;
-            b.iter(|| {
-                for _ in 0..WINDOW {
-                    i = (i + 1) % span;
-                    llc.batch_core_access(agent, mask, i * LINE, CoreOp::Read);
-                }
-                llc.batch_flush();
-                black_box(llc.valid_lines())
-            });
+    // between fast-forward and measured segments.
+    group.bench_function("warmup_window/frozen", |b| {
+        let geom = CacheGeometry::xeon_6140_llc();
+        let mut llc = Llc::new(geom);
+        llc.set_stats_frozen(true);
+        let agent = AgentId::new(0);
+        let mask = WayMask::contiguous(0, 2).expect("mask");
+        let span = geom.total_lines() * 8;
+        let mut i = 0u64;
+        b.iter(|| {
+            for _ in 0..WINDOW {
+                i = (i + 1) % span;
+                llc.batch_core_access(agent, mask, i * LINE, CoreOp::Read);
+            }
+            llc.batch_flush();
+            black_box(llc.valid_lines())
         });
-    }
+    });
     group.finish();
 }
 

@@ -19,7 +19,7 @@ use iat_runner::{
     attach_sample_errors, bench_report, check_outputs, expected_costs, expected_job_costs,
     history_record, load_json, parse_args, print_summary, progress, reset_staging_dirs, run,
     trajectory_eligible, trajectory_update, unknown_filters, validate_history,
-    validate_trajectory, write_outputs, USAGE,
+    validate_trajectory, write_outputs, writes_bench_report, USAGE,
 };
 use std::path::Path;
 
@@ -312,27 +312,30 @@ fn main() {
         }
     }
 
-    // The wall-clock bench report. Written on every run — including
-    // `--check` and `--smoke` — but never staged through the job files,
-    // so it is exempt from the byte-compare above (timings vary run to
-    // run; the schema is what CI validates).
+    // The wall-clock bench report, never staged through the job files, so
+    // it is exempt from the byte-compare above (timings vary run to run;
+    // the schema is what CI validates). Exact runs write the committed
+    // copy only when they are the full passing sweep; see
+    // `writes_bench_report`.
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     let mut report = bench_report(&out, &cli.opts, profile);
     attach_sample_errors(&mut report, &headlines);
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    match std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&bench_path, format!("{json}\n")))
-    {
-        Ok(()) => progress(&format!("wrote {}", bench_path.display())),
-        Err(e) => {
-            progress(&format!("error: writing {}: {e}", bench_path.display()));
-            exit = 1;
+    if writes_bench_report(&report, &cli) {
+        let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
+        match std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&bench_path, format!("{json}\n")))
+        {
+            Ok(()) => progress(&format!("wrote {}", bench_path.display())),
+            Err(e) => {
+                progress(&format!("error: writing {}: {e}", bench_path.display()));
+                exit = 1;
+            }
         }
     }
 
     // The same run metrics in Prometheus text exposition format, for
-    // scraping or ad-hoc `grep`. Like the bench report it is written on
-    // every run and never byte-compared (gitignored).
+    // scraping or ad-hoc `grep`. Unlike the bench report it is written on
+    // every run: it is gitignored and never byte-compared.
     let prom_path = dir.join("BENCH_metrics.prom");
     let prom = iat_telemetry::render_prometheus(&out.metrics.snapshot());
     if let Err(e) = std::fs::write(&prom_path, prom) {

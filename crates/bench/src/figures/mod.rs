@@ -4,9 +4,8 @@
 //! the sweep (one packet size, one YCSB mix, one PC application …) and
 //! return their table rows as an artifact; the figure's **merge** job
 //! (named after the figure, e.g. `fig12`) depends on all its leaves and
-//! assembles the console table plus the `results/` JSON. The thin
-//! `src/bin/fig*.rs` binaries alias one group each through
-//! [`crate::jobs::alias`]; the `repro` binary runs them all.
+//! assembles the console table plus the `results/` JSON. The `repro`
+//! binary runs them all, or one group with `--only <figure>`.
 
 pub(crate) mod ablation;
 pub(crate) mod fig03;

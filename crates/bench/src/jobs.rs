@@ -1,9 +1,7 @@
-//! The full figure/table job registry and the shared entry points used
-//! by the `repro` binary and the per-figure alias binaries.
+//! The full figure/table job registry the `repro` binary runs.
 
 use crate::catalog;
-use iat_runner::{progress, run, write_outputs, Outcome, Registry, RunOptions};
-use std::path::Path;
+use iat_runner::Registry;
 
 /// Builds the registry of every paper figure/table job by walking the
 /// figure catalog ([`catalog::FIGURES`]). Registration order is the
@@ -14,29 +12,4 @@ pub fn registry() -> Registry {
         (fig.register)(&mut reg);
     }
     reg
-}
-
-/// Entry point of the thin per-figure binaries (`fig08`, `table1`, …):
-/// runs one figure group single-threaded, prints its console capture and
-/// refreshes its slice of `results/`. Exits non-zero if any job failed.
-pub fn alias(group: &str) {
-    let opts = RunOptions {
-        jobs: 1,
-        only: vec![group.to_owned()],
-        ..RunOptions::default()
-    };
-    let out = run(registry(), &opts);
-    print!("{}", out.stdout);
-    if let Err(e) = write_outputs(&out, Path::new("results")) {
-        progress(&format!("error: writing results/: {e}"));
-        std::process::exit(1);
-    }
-    for r in &out.reports {
-        if let Outcome::Failed(e) = &r.outcome {
-            progress(&format!("error: {}: {e}", r.name));
-        }
-    }
-    if out.failed() {
-        std::process::exit(1);
-    }
 }

@@ -3,18 +3,18 @@
 //! The experiment harness of the IAT reproduction: couples a simulated
 //! [`iat_platform::Platform`] with an [`iat::LlcPolicy`] (IAT or a
 //! baseline) through the performance-counter monitor, and provides the
-//! scenario builders and reporting helpers the per-figure binaries share.
+//! scenario builders and reporting helpers the figure jobs share.
 //!
 //! Every paper table/figure is registered as a job graph with the
 //! [`iat_runner`] sweep engine (see [`jobs::registry`]); the `repro`
 //! binary regenerates all of `results/` in one deterministic parallel
-//! sweep, and one thin alias binary per figure remains in `src/bin/`
-//! (`fig03` … `fig15`, `table1`, `table2`). Criterion benches live in
+//! sweep, or one figure group with `--only` (`fig03` … `fig15`,
+//! `table1`, `table2`, `ablation`). Criterion benches live in
 //! `benches/`. Run e.g.:
 //!
 //! ```text
 //! cargo run --release -p iat-bench --bin repro -- --jobs 8
-//! cargo run --release -p iat-bench --bin fig08
+//! cargo run --release -p iat-bench --bin repro -- --only fig08
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,7 +7,9 @@
 //! buckets inline in the calling thread. The batched path measures faster
 //! than the serial one without any threads: the tight per-bucket
 //! resolution loop amortizes dispatch that the access-at-a-time path pays
-//! per access.
+//! per access. How a flush accounts is not a knob: each batched bucket
+//! writes its statistics through the sink the serial path uses for the
+//! same access (measuring, or frozen during functional warmup).
 //!
 //! The mode is atomic and only steers *scheduling*: both paths produce
 //! bit-identical results (see the shard module), so a data race on it

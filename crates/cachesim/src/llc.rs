@@ -10,19 +10,19 @@
 //!   so probe candidates and victim candidates are computed bitwise
 //!   against the [`WayMask`] instead of branching per way;
 //! * `owners` — packed raw [`AgentId`] bits, one `u16` per line;
-//! * `ranks` — a compact per-set LRU: one `u8` recency rank per line,
-//!   `0` = most recently used. Ranks within a set always form a
-//!   permutation of `0..ways`, so exact LRU order is preserved without
-//!   a global tick + full-set scan.
+//! * `order` — a compact per-set LRU: the set's ways packed into one
+//!   `u64` recency list, most recently used first (see the `order`
+//!   module), so exact LRU order is kept without a global tick and a
+//!   full-set scan.
 //!
 //! Slices are independent state machines, which enables the second mode of
 //! operation next to the classic access-at-a-time API: operations can be
 //! *enqueued* (`batch_*` methods), bucketed by slice, and resolved together
 //! at [`Llc::batch_flush`], slice by slice in the calling thread
 //! (`--slice-workers 0` keeps the access-at-a-time path instead, see the
-//! `config` module). Per-slice buckets preserve enqueue order and
-//! per-slice statistics merge deterministically, so batched results are
-//! bit-identical to serial execution.
+//! `config` module). Per-slice buckets preserve enqueue order and every
+//! bucket writes the counters in place through the same sink the serial
+//! path uses, so batched results are bit-identical to serial execution.
 
 use crate::agent::AgentId;
 use crate::geometry::CacheGeometry;
@@ -80,7 +80,7 @@ const FLUSH_TIMING_MIN_OPS: u32 = 64;
 #[derive(Debug, Clone)]
 pub struct Llc {
     geom: CacheGeometry,
-    /// Per-slice cache bodies plus batch buckets and stat deltas.
+    /// Per-slice cache bodies plus batch buckets.
     shards: Vec<SliceShard>,
     /// Running count of valid lines (maintained by install accounting,
     /// never recomputed by scanning).
@@ -100,10 +100,6 @@ pub struct Llc {
     /// owners, dirty bits, valid lines) exactly as normal but accrue no
     /// statistics or memory counters. See [`Llc::set_stats_frozen`].
     stats_frozen: bool,
-    /// Whether frozen batch flushes take the delta-free fast body
-    /// (default). Disabled only by benchmarks that want to measure the
-    /// old frozen body for comparison; see [`Llc::set_frozen_fast`].
-    frozen_fast: bool,
 }
 
 impl Llc {
@@ -123,7 +119,6 @@ impl Llc {
             pending_ops: 0,
             flushed: true,
             stats_frozen: false,
-            frozen_fast: true,
         }
     }
 
@@ -153,15 +148,6 @@ impl Llc {
     /// Whether statistic accrual is currently frozen.
     pub fn stats_frozen(&self) -> bool {
         self.stats_frozen
-    }
-
-    /// Selects the body frozen batch flushes use. `true` (the default)
-    /// takes the shard's delta-free `process_frozen` fast body; `false`
-    /// keeps the full delta-accruing body whose sums the frozen merge then
-    /// discards. Both evolve the cache bit-identically — the knob exists so
-    /// the `llc_hotpath` bench can measure them against each other.
-    pub fn set_frozen_fast(&mut self, fast: bool) {
-        self.frozen_fast = fast;
     }
 
     /// The cache's geometry.
@@ -194,20 +180,7 @@ impl Llc {
         debug_assert_eq!(self.pending_ops, 0, "reset_stats with unflushed batch");
         self.stats = LlcStats::new(self.geom.slices() as usize);
         self.mem = MemCounters::new();
-        // Shard-major, set-ascending: the same scan order as the pre-shard
-        // global layout (global set index was `slice * sets_per_slice +
-        // set`), so agent re-registration order is unchanged.
-        for shard in &self.shards {
-            for set in 0..shard.store.sets() {
-                let mut m = shard.store.valid_bits(set);
-                while m != 0 {
-                    let w = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let owner = AgentId::from_bits(shard.store.owner_bits(set, w));
-                    self.stats.agent_mut(owner).occupancy_lines += 1;
-                }
-            }
-        }
+        self.repair_occupancy();
     }
 
     /// Recomputes per-agent occupancy from the resident lines, leaving
@@ -219,9 +192,7 @@ impl Llc {
     /// every warm→measure transition: measurement then starts from exact
     /// occupancy, and since measured spans track every install and
     /// eviction, occupancy stays exact (and non-negative) for the whole
-    /// measured window — on the serial and the batched path alike, because
-    /// the recount scans contents in a fixed shard-major, set-ascending
-    /// order.
+    /// measured window — on the serial and the batched path alike.
     pub fn repair_occupancy(&mut self) {
         debug_assert_eq!(self.pending_ops, 0, "repair_occupancy with unflushed batch");
         self.stats.clear_occupancy();
@@ -288,7 +259,6 @@ impl Llc {
                 alloc_mask.bits(),
                 tag,
                 write,
-                0,
                 &mut sink,
             )
         } else {
@@ -304,7 +274,6 @@ impl Llc {
                 alloc_mask.bits(),
                 tag,
                 write,
-                0,
                 &mut sink,
             )
         };
@@ -332,7 +301,6 @@ impl Llc {
                 agent.to_bits(),
                 alloc_mask.bits(),
                 tag,
-                0,
                 &mut sink,
             );
         } else {
@@ -347,7 +315,6 @@ impl Llc {
                 agent.to_bits(),
                 alloc_mask.bits(),
                 tag,
-                0,
                 &mut sink,
             );
         }
@@ -369,7 +336,7 @@ impl Llc {
         let (slice, set) = self.locate(addr);
         let (hit, writeback) = if self.stats_frozen {
             let mut sink = FrozenSink { valid_count: &mut self.valid_count };
-            self.shards[slice].store.io_write(set, ddio_mask.bits(), tag, 0, &mut sink)
+            self.shards[slice].store.io_write(set, ddio_mask.bits(), tag, &mut sink)
         } else {
             let mut sink = DirectSink {
                 stats: &mut self.stats,
@@ -377,7 +344,7 @@ impl Llc {
                 valid_count: &mut self.valid_count,
                 slice,
             };
-            self.shards[slice].store.io_write(set, ddio_mask.bits(), tag, 0, &mut sink)
+            self.shards[slice].store.io_write(set, ddio_mask.bits(), tag, &mut sink)
         };
         if hit {
             IoOutcome::WriteUpdate
@@ -442,7 +409,6 @@ impl Llc {
     fn enqueue(&mut self, addr: u64, mask: u32, agent: u16, kind: BatchKind) -> BatchHandle {
         self.batch_reset_if_flushed();
         self.accesses += 1;
-        let op = self.pending_ops;
         self.pending_ops += 1;
         let tag = line_of(addr);
         let (slice, set) = self.locate(addr);
@@ -457,7 +423,6 @@ impl Llc {
             agent,
             kind,
             hit: false,
-            op,
         });
         BatchHandle { slice: slice as u16, idx }
     }
@@ -501,11 +466,11 @@ impl Llc {
         self.pending_ops as usize
     }
 
-    /// Resolves every enqueued operation and merges statistics.
+    /// Resolves every enqueued operation, writing statistics in place.
     ///
     /// Each slice's bucket is drained in enqueue order, inline in the
-    /// calling thread; see the shard module for why the result equals
-    /// serial execution.
+    /// calling thread, through the sink of the current mode; see the shard
+    /// module for why the result equals serial execution.
     pub fn batch_flush(&mut self) {
         if self.pending_ops == 0 {
             self.flushed = true;
@@ -518,19 +483,21 @@ impl Llc {
             t.begin("llc", "llc.flush")
                 .arg("ops", Value::from(self.pending_ops))
         });
-        // Warmup flushes take the frozen fast body: same functional state
-        // transitions (generic over the sink), no per-agent delta accrual.
-        let frozen = self.stats_frozen && self.frozen_fast;
-        for shard in &mut self.shards {
-            if !shard.queue.is_empty() {
-                if frozen {
-                    shard.process_frozen();
-                } else {
-                    shard.process();
-                }
+        for (slice, shard) in self.shards.iter_mut().enumerate() {
+            if shard.queue.is_empty() {
+                continue;
+            }
+            if self.stats_frozen {
+                shard.resolve(&mut FrozenSink { valid_count: &mut self.valid_count });
+            } else {
+                shard.resolve(&mut DirectSink {
+                    stats: &mut self.stats,
+                    mem: &mut self.mem,
+                    valid_count: &mut self.valid_count,
+                    slice,
+                });
             }
         }
-        self.merge_deltas();
         self.pending_ops = 0;
         self.flushed = true;
         if let Some(t0) = t0 {
@@ -549,60 +516,6 @@ impl Llc {
     pub fn batch_hit(&self, handle: BatchHandle) -> bool {
         debug_assert!(self.flushed, "batch_hit before batch_flush");
         self.shards[handle.slice as usize].queue[handle.idx as usize].hit
-    }
-
-    /// Folds every shard's [`ShardDelta`] into the global counters.
-    ///
-    /// Sums commute, so only first-touch agent registration needs care: new
-    /// agents are registered in ascending order of the operation that first
-    /// touched them (ties broken by shard-local discovery order, which can
-    /// only tie within one operation), exactly reproducing the serial
-    /// registration sequence.
-    fn merge_deltas(&mut self) {
-        if self.stats_frozen {
-            // Warmup flush: the cache body already mutated in place during
-            // `process()`; of the delta only the valid-line count describes
-            // contents rather than events, so everything else is dropped
-            // (including first-touch agent registration). Per-agent
-            // occupancy goes stale across the frozen span by design —
-            // [`Llc::repair_occupancy`] recounts it before measurement.
-            for shard in &mut self.shards {
-                self.valid_count += shard.delta.lines_added;
-                shard.delta.clear();
-            }
-            return;
-        }
-        let mut new_agents: Vec<(u32, u32, u16)> = Vec::new();
-        for shard in &self.shards {
-            for (i, (bits, d)) in shard.delta.agents.iter().enumerate() {
-                if !self.stats.contains_agent(AgentId::from_bits(*bits)) {
-                    new_agents.push((d.first_op, i as u32, *bits));
-                }
-            }
-        }
-        new_agents.sort_unstable();
-        for &(_, _, bits) in &new_agents {
-            self.stats.agent_mut(AgentId::from_bits(bits));
-        }
-        for (slice, shard) in self.shards.iter_mut().enumerate() {
-            let d = &mut shard.delta;
-            self.stats.evictions += d.evictions;
-            self.stats.slices[slice].ddio_hits += d.io.ddio_hits;
-            self.stats.slices[slice].ddio_misses += d.io.ddio_misses;
-            self.mem.add_lines(d.mem_reads, d.mem_writes);
-            self.valid_count += d.lines_added;
-            for (bits, ad) in d.agents.iter() {
-                let st = self.stats.agent_mut(AgentId::from_bits(*bits));
-                st.references += ad.references;
-                st.misses += ad.misses;
-                st.evicted_by_others += ad.evicted_by_others;
-                st.occupancy_lines = st
-                    .occupancy_lines
-                    .checked_add_signed(ad.occupancy)
-                    .expect("agent occupancy went negative in delta merge");
-            }
-            d.clear();
-        }
     }
 
     /// FNV-1a digest over the complete cache body — tags, owners, LRU
@@ -981,7 +894,7 @@ mod tests {
         assert_eq!(serial.stats().evictions, batched.stats().evictions);
         let sa: Vec<_> = serial.stats().agents().map(|(a, s)| (a, *s)).collect();
         let ba: Vec<_> = batched.stats().agents().map(|(a, s)| (a, *s)).collect();
-        assert_eq!(sa, ba, "per-agent stats (incl. first-touch order) must match");
+        assert_eq!(sa, ba, "per-agent stats (the full table, order included) must match");
         assert_eq!(serial.stats().slices, batched.stats().slices);
     }
 }

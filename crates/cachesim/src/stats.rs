@@ -100,14 +100,16 @@ pub struct SliceIoStats {
 
 /// Cumulative whole-LLC statistics.
 ///
-/// Per-agent counts live in a small first-touch-ordered vector rather
+/// Per-agent counts live in a small vector sorted by [`AgentId`] rather
 /// than a `HashMap`: the agent lookup sits on the per-access hot path of
 /// the simulator, a handful of tenants plus [`AgentId::IO`] is the
 /// universe, and a linear scan of a few packed entries beats hashing
-/// every access — while also making iteration order deterministic.
+/// every access. Sorting makes the table a function of *which* agents touched
+/// the LLC, never of the order they did it in, so a batched flush that
+/// resolves slice by slice builds the same table as the serial path.
 #[derive(Debug, Clone, Default)]
 pub struct LlcStats {
-    /// Per-agent reference/miss/occupancy counts, in first-touch order.
+    /// Per-agent reference/miss/occupancy counts, by ascending id.
     agents: Vec<(AgentId, AgentStats)>,
     /// Per-slice DDIO counts (indexed by slice id).
     pub slices: Vec<SliceIoStats>,
@@ -129,8 +131,8 @@ impl LlcStats {
             .unwrap_or_default()
     }
 
-    /// Every agent that has touched the LLC, with its statistics, in
-    /// first-touch order (deterministic for a deterministic op stream).
+    /// Every agent that has touched the LLC, with its statistics, by
+    /// ascending id ([`AgentId::IO`] last).
     pub fn agents(&self) -> impl Iterator<Item = (AgentId, &AgentStats)> {
         self.agents.iter().map(|(a, s)| (*a, s))
     }
@@ -145,14 +147,6 @@ impl LlcStats {
         self.slices.iter().map(|s| s.ddio_misses).sum()
     }
 
-    /// Whether `id` has already been registered (first-touch ordering is
-    /// observable through [`LlcStats::agents`], so the batched pipeline
-    /// must know which agents are new before merging deltas).
-    #[inline]
-    pub(crate) fn contains_agent(&self, id: AgentId) -> bool {
-        self.agents.iter().any(|(a, _)| *a == id)
-    }
-
     /// Zeroes every agent's occupancy count (ahead of a recount from the
     /// resident lines — see [`crate::Llc::repair_occupancy`]).
     pub(crate) fn clear_occupancy(&mut self) {
@@ -161,15 +155,20 @@ impl LlcStats {
         }
     }
 
+    /// The counters of `id`, registering it at its sorted position on
+    /// first touch. The lookup is a plain linear scan: it measured faster
+    /// than a binary search on the flush path at these table sizes.
     #[inline]
     pub(crate) fn agent_mut(&mut self, id: AgentId) -> &mut AgentStats {
-        match self.agents.iter().position(|(a, _)| *a == id) {
-            Some(i) => &mut self.agents[i].1,
+        let i = match self.agents.iter().position(|(a, _)| *a == id) {
+            Some(i) => i,
             None => {
-                self.agents.push((id, AgentStats::default()));
-                &mut self.agents.last_mut().expect("just pushed").1
+                let i = self.agents.partition_point(|(a, _)| *a < id);
+                self.agents.insert(i, (id, AgentStats::default()));
+                i
             }
-        }
+        };
+        &mut self.agents[i].1
     }
 }
 
@@ -204,5 +203,15 @@ mod tests {
         assert_eq!(st.ddio_hits(), 7);
         assert_eq!(st.ddio_misses(), 5);
         assert_eq!(st.agent(AgentId::new(9)), AgentStats::default());
+    }
+
+    #[test]
+    fn agent_table_is_sorted_whatever_the_touch_order() {
+        let mut st = LlcStats::new(1);
+        for id in [AgentId::IO, AgentId::new(3), AgentId::new(0), AgentId::new(3)] {
+            st.agent_mut(id).references += 1;
+        }
+        let got: Vec<_> = st.agents().map(|(a, s)| (a, s.references)).collect();
+        assert_eq!(got, [(AgentId::new(0), 1), (AgentId::new(3), 2), (AgentId::IO, 1)]);
     }
 }

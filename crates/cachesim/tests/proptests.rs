@@ -205,6 +205,75 @@ fn clamp_mask(ways: u8, first: u8, count: u8) -> Option<WayMask> {
     }
 }
 
+/// Feeds `ops` to `llc` and returns every demand access's hit, in stream
+/// order. Batched, each op is enqueued and the batch is flushed at every
+/// cut; serial, each op resolves on the spot. The stream is cut after
+/// every `window` ops, and `at_cut(llc, n)` runs at the `n`-th cut (after
+/// its flush), so both passes see the same mode changes at the same
+/// points of the stream.
+fn drive(
+    llc: &mut Llc,
+    ops: &[Op],
+    batched: bool,
+    window: usize,
+    mut at_cut: impl FnMut(&mut Llc, usize),
+) -> Vec<bool> {
+    let ways = llc.geometry().ways();
+    let ddio = WayMask::contiguous(6, 2).unwrap();
+    let mut hits = Vec::new();
+    let mut handles: Vec<BatchHandle> = Vec::new();
+    fn flush(llc: &mut Llc, handles: &mut Vec<BatchHandle>, hits: &mut Vec<bool>) {
+        llc.batch_flush();
+        hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
+    }
+    let mut cuts = 0;
+    for (k, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Core { agent, mask_first, mask_count, addr, write } => {
+                if let Some(mask) = clamp_mask(ways, mask_first, mask_count) {
+                    let agent = AgentId::new(agent);
+                    let op = if write { CoreOp::Write } else { CoreOp::Read };
+                    if batched {
+                        handles.push(llc.batch_core_access(agent, mask, addr, op));
+                    } else {
+                        hits.push(llc.core_access(agent, mask, addr, op).is_hit());
+                    }
+                }
+            }
+            Op::Writeback { agent, mask_first, mask_count, addr } => {
+                if let Some(mask) = clamp_mask(ways, mask_first, mask_count) {
+                    if batched {
+                        llc.batch_core_writeback(AgentId::new(agent), mask, addr);
+                    } else {
+                        llc.core_writeback(AgentId::new(agent), mask, addr);
+                    }
+                }
+            }
+            Op::IoWrite { addr } => {
+                if batched {
+                    llc.batch_io_write(ddio, addr);
+                } else {
+                    llc.io_write(ddio, addr);
+                }
+            }
+            Op::IoRead { addr } => {
+                if batched {
+                    llc.batch_io_read(addr);
+                } else {
+                    llc.io_read(addr);
+                }
+            }
+        }
+        if (k + 1) % window == 0 {
+            flush(llc, &mut handles, &mut hits);
+            at_cut(llc, cuts);
+            cuts += 1;
+        }
+    }
+    flush(llc, &mut handles, &mut hits);
+    hits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -345,69 +414,30 @@ proptest! {
     /// The batched pipeline is bit-identical to the serial path over
     /// random interleaved core/DDIO streams under mixed CAT masks: the
     /// same per-op hit/miss resolution, the same derived statistics
-    /// (including first-touch agent registration order), and the same
-    /// final contents and replacement state — victim choices included,
-    /// via the state digest — regardless of how the stream is cut into
-    /// flush windows.
+    /// (the full agent table, order included), and the same final
+    /// contents and replacement state — victim choices included, via the
+    /// state digest — regardless of how the stream is cut into flush
+    /// windows. `reset_stats` at chosen cuts on both passes rebuilds the
+    /// agent table mid-stream, so agents registered again after a reset
+    /// are covered too.
     #[test]
     fn batched_matches_serial(
         ops in proptest::collection::vec(op_strategy(8), 1..500),
         window in 1usize..300,
+        resets in proptest::collection::vec(0usize..8, 0..=3),
     ) {
         let geom = CacheGeometry::new(8, 16, 4).expect("valid geometry");
-        let ddio = WayMask::contiguous(6, 2).unwrap();
-
-        // Serial reference pass, recording every demand access's outcome.
-        let mut serial = Llc::new(geom);
-        let mut want_hits = Vec::new();
-        for op in &ops {
-            match *op {
-                Op::Core { agent, mask_first, mask_count, addr, write } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    let op = if write { CoreOp::Write } else { CoreOp::Read };
-                    want_hits.push(serial.core_access(AgentId::new(agent), mask, addr, op).is_hit());
+        let run = |batched: bool| {
+            let mut llc = Llc::new(geom);
+            let hits = drive(&mut llc, &ops, batched, window, |llc, cut| {
+                if resets.contains(&cut) {
+                    llc.reset_stats();
                 }
-                Op::Writeback { agent, mask_first, mask_count, addr } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    serial.core_writeback(AgentId::new(agent), mask, addr);
-                }
-                Op::IoWrite { addr } => { serial.io_write(ddio, addr); }
-                Op::IoRead { addr } => { serial.io_read(addr); }
-            }
-        }
-
-        let mut batched = Llc::new(geom);
-        let mut got_hits = Vec::new();
-        let mut handles: Vec<BatchHandle> = Vec::new();
-        for (k, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Core { agent, mask_first, mask_count, addr, write } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    let op = if write { CoreOp::Write } else { CoreOp::Read };
-                    handles.push(batched.batch_core_access(AgentId::new(agent), mask, addr, op));
-                }
-                Op::Writeback { agent, mask_first, mask_count, addr } => {
-                    let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) else {
-                        continue;
-                    };
-                    batched.batch_core_writeback(AgentId::new(agent), mask, addr);
-                }
-                Op::IoWrite { addr } => batched.batch_io_write(ddio, addr),
-                Op::IoRead { addr } => batched.batch_io_read(addr),
-            }
-            if (k + 1) % window == 0 {
-                batched.batch_flush();
-                got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
-            }
-        }
-        batched.batch_flush();
-        got_hits.extend(handles.drain(..).map(|h| batched.batch_hit(h)));
+            });
+            (hits, llc)
+        };
+        let (want_hits, serial) = run(false);
+        let (got_hits, batched) = run(true);
 
         prop_assert_eq!(&got_hits, &want_hits);
         prop_assert_eq!(batched.state_digest(), serial.state_digest());
@@ -422,65 +452,38 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// With statistics frozen, the delta-free fast body (`frozen_fast`,
-    /// the default) leaves the cache bit-identical to the full body
-    /// dispatched against a frozen sink: the same tags, owners, dirty
-    /// bits and recency (via the state digest) at every flush boundary,
-    /// the same per-op hit resolution, and — because warm windows leave
-    /// no statistical residue either way — identical statistics after
-    /// the interleaved measured windows. The stream alternates frozen
-    /// (warm) and unfrozen (measured) windows so every warm→measure
-    /// hand-off the sampled execution path performs is exercised.
+    /// With statistics frozen, the batched flush leaves the cache
+    /// bit-identical to the serial oracle under the same freeze: the same
+    /// tags, owners, dirty bits and recency (via the state digest) at
+    /// every cut, the same per-op hit resolution, and — because warm
+    /// windows leave no statistical residue on either path — identical
+    /// statistics after the interleaved measured windows. The stream
+    /// alternates frozen (warm) and unfrozen (measured) windows, so every
+    /// warm→measure hand-off the sampled execution path performs is
+    /// exercised.
     #[test]
-    fn frozen_fast_body_matches_full_body(
+    fn frozen_batched_matches_frozen_serial(
         ops in proptest::collection::vec(op_strategy(8), 2..400),
         window in 1usize..100,
     ) {
         let geom = CacheGeometry::new(8, 16, 4).expect("valid geometry");
-        let ddio = WayMask::contiguous(6, 2).unwrap();
-        let run = |fast: bool| {
+        let run = |batched: bool| {
             let mut llc = Llc::new(geom);
-            llc.set_frozen_fast(fast);
             llc.set_stats_frozen(true);
             let mut frozen = true;
-            let mut hits = Vec::new();
             let mut digests = Vec::new();
-            let mut handles: Vec<BatchHandle> = Vec::new();
-            for (k, op) in ops.iter().enumerate() {
-                match *op {
-                    Op::Core { agent, mask_first, mask_count, addr, write } => {
-                        if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
-                            let op = if write { CoreOp::Write } else { CoreOp::Read };
-                            handles.push(
-                                llc.batch_core_access(AgentId::new(agent), mask, addr, op),
-                            );
-                        }
-                    }
-                    Op::Writeback { agent, mask_first, mask_count, addr } => {
-                        if let Some(mask) = clamp_mask(geom.ways(), mask_first, mask_count) {
-                            llc.batch_core_writeback(AgentId::new(agent), mask, addr);
-                        }
-                    }
-                    Op::IoWrite { addr } => llc.batch_io_write(ddio, addr),
-                    Op::IoRead { addr } => llc.batch_io_read(addr),
+            let hits = drive(&mut llc, &ops, batched, window, |llc, _| {
+                digests.push((llc.state_digest(), llc.valid_lines()));
+                // Alternate warm and measured windows, recounting
+                // occupancy on the warm -> measure hand-off exactly as
+                // the platform does (it goes stale across frozen spans
+                // by design).
+                frozen = !frozen;
+                llc.set_stats_frozen(frozen);
+                if !frozen {
+                    llc.repair_occupancy();
                 }
-                if (k + 1) % window == 0 {
-                    llc.batch_flush();
-                    hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
-                    digests.push((llc.state_digest(), llc.valid_lines()));
-                    // Window boundary: alternate warm and measured,
-                    // recounting occupancy on the warm -> measure
-                    // hand-off exactly as the platform does (it goes
-                    // stale across frozen spans by design).
-                    frozen = !frozen;
-                    llc.set_stats_frozen(frozen);
-                    if !frozen {
-                        llc.repair_occupancy();
-                    }
-                }
-            }
-            llc.batch_flush();
-            hits.extend(handles.drain(..).map(|h| llc.batch_hit(h)));
+            });
             digests.push((llc.state_digest(), llc.valid_lines()));
             let agents: Vec<_> = llc.stats().agents().map(|(id, s)| (id, *s)).collect();
             let counters = (
@@ -492,12 +495,12 @@ proptest! {
             );
             (hits, digests, agents, counters)
         };
-        let fast = run(true);
-        let full = run(false);
-        prop_assert_eq!(&fast.0, &full.0, "hit resolution");
-        prop_assert_eq!(&fast.1, &full.1, "state digests");
-        prop_assert_eq!(&fast.2, &full.2, "agent stats");
-        prop_assert_eq!(fast.3, full.3, "counters");
+        let batched = run(true);
+        let serial = run(false);
+        prop_assert_eq!(&batched.0, &serial.0, "hit resolution");
+        prop_assert_eq!(&batched.1, &serial.1, "state digests");
+        prop_assert_eq!(&batched.2, &serial.2, "agent stats");
+        prop_assert_eq!(batched.3, serial.3, "counters");
     }
 
     /// Memory counters are monotonic over any operation sequence.

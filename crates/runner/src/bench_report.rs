@@ -4,11 +4,13 @@
 //! that later PRs can be held to.
 //!
 //! The report is *metadata about a run*, not a determinism capture: it
-//! is written on every sweep but never byte-compared by `--check` (wall
-//! clock differs machine to machine). CI instead validates its schema
-//! with [`validate`].
+//! is never byte-compared by `--check` (wall clock differs machine to
+//! machine). CI instead validates its schema with [`validate`]. Only runs
+//! worth recording write it ([`writes_bench_report`]), so read-only runs
+//! leave the committed copy alone.
 
 use crate::exec::{Outcome, RunOptions, RunOutput};
+use crate::Cli;
 use iat_telemetry::PhaseBreakdown;
 use serde_json::{json, Value};
 
@@ -369,6 +371,20 @@ pub fn trajectory_eligible(report: &Value, opts: &RunOptions) -> bool {
         && opts.only.is_empty()
         && report["smoke"] == json!(false)
         && report["sampled"] == json!(false)
+}
+
+/// Returns whether a `repro` run writes its bench report.
+///
+/// Sampled and corpus runs write into their own gitignored directories
+/// and always do. An exact run would overwrite the committed
+/// `results/BENCH_repro.json`, so it writes only the record the
+/// trajectory also takes: not `--check`, and [`trajectory_eligible`] (the
+/// full sweep, not smoke, every job ok). Check, smoke, `--only` and failed
+/// runs leave the file as it was.
+pub fn writes_bench_report(report: &Value, cli: &Cli) -> bool {
+    cli.opts.sampled
+        || cli.corpus.is_some()
+        || (!cli.check && trajectory_eligible(report, &cli.opts))
 }
 
 /// Folds one sweep's report into the committed `BENCH_trajectory.json`
@@ -917,6 +933,30 @@ mod tests {
         // The run claims exact but a figure fast-forwarded: reject.
         let doc = bench_report(&out, &RunOptions::default(), "release");
         assert!(validate(&doc).is_err());
+    }
+
+    #[test]
+    fn only_full_passing_exact_runs_write_the_report() {
+        let passing = || {
+            let mut out = fake_output();
+            out.reports[2].outcome = Outcome::Ok;
+            out
+        };
+        let writes = |out: &RunOutput, cli: &Cli| {
+            writes_bench_report(&bench_report(out, &cli.opts, "release"), cli)
+        };
+        let with_opts = |opts: RunOptions| Cli { opts, ..Cli::default() };
+        assert!(writes(&passing(), &Cli::default()), "full passing sweep");
+        assert!(!writes(&passing(), &Cli { check: true, ..Cli::default() }), "--check");
+        let smoke = with_opts(RunOptions { smoke: true, ..RunOptions::default() });
+        assert!(!writes(&passing(), &smoke), "--smoke");
+        let only = with_opts(RunOptions { only: vec!["figX".into()], ..RunOptions::default() });
+        assert!(!writes(&passing(), &only), "--only");
+        assert!(!writes(&fake_output(), &Cli::default()), "a failed job");
+        // Side-directory runs always record themselves.
+        let sampled = with_opts(RunOptions { sampled: true, ..RunOptions::default() });
+        assert!(writes(&fake_sampled_output(), &sampled), "--sampled");
+        assert!(writes(&fake_output(), &Cli { corpus: Some(4), ..Cli::default() }), "--corpus");
     }
 
     #[test]

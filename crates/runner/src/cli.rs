@@ -1,5 +1,4 @@
-//! Argument parsing for the `repro` binary (and the per-figure alias
-//! binaries, which reuse the same engine with a fixed filter).
+//! Argument parsing for the `repro` binary.
 
 use crate::RunOptions;
 

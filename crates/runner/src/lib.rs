@@ -40,6 +40,7 @@ pub use bench_report::{
     attach_sample_errors, bench_report, corpus_history_records, expected_costs,
     expected_job_costs, history_record, trajectory_eligible,
     trajectory_update, validate as validate_bench_report, validate_history, validate_trajectory,
+    writes_bench_report,
     BENCH_SCHEMA, HISTORY_SCHEMA, TRAJECTORY_SCHEMA,
 };
 pub use cli::{default_jobs, parse_args, Cli, USAGE};
